@@ -6,7 +6,12 @@
 
     A cloud only describes its *desired* edge set; the engine reconciles
     it against the live network through {!Ownership} (see [Xheal.sync]).
-    [current] caches the edge set most recently pushed to the network. *)
+    The cloud keeps one edge store: each edge with its multiplicity over
+    the Hamilton cycles and whether the network holds it for this cloud.
+    A splice updates it in O(d) and {!reconcile} then pushes only the
+    edges whose multiplicity crossed zero; only a structure rebuilt from
+    scratch (a new cloud, a clique↔H-graph change, the half-loss
+    rebuild) is diffed in full. *)
 
 type kind = Primary | Secondary
 
@@ -30,10 +35,6 @@ val id : t -> int
 
 val kind : t -> kind
 
-val d : t -> int
-
-val kappa : t -> int
-
 val size : t -> int
 
 val mem : t -> int -> bool
@@ -50,14 +51,16 @@ val leader : t -> int option
 val vice : t -> int option
 
 val desired_edges : t -> Xheal_graph.Edge.Set.t
+(** The structure's simple edges, recomputed from scratch. *)
 
-val current : t -> Xheal_graph.Edge.Set.t
+val current : t -> Xheal_graph.Edge.t list
+(** Sorted edges the network holds for this cloud: the desired edges as
+    of the last {!reconcile}, less those of members removed since. *)
 
-val set_current : t -> Xheal_graph.Edge.Set.t -> unit
-
-val purge_node_from_current : t -> int -> unit
-(** Forgets cached edges incident to a node the adversary just removed
-    (those edges are already gone from the network). *)
+val reconcile : t -> Xheal_graph.Edge.t list * Xheal_graph.Edge.t list
+(** [(removed, added)], each sorted: the edges to take out of and to put
+    into the network so that it holds exactly {!desired_edges}. Costs
+    O(edges changed since the last call), not O(cloud size). *)
 
 val add_member : rng:Random.State.t -> t -> int -> unit
 (** Splices the node into the H-graph (or grows the clique, upgrading to
@@ -65,12 +68,13 @@ val add_member : rng:Random.State.t -> t -> int -> unit
     @raise Invalid_argument if already a member. *)
 
 val remove_member : rng:Random.State.t -> t -> int -> bool
-(** Removes a member, downgrading to a clique at the threshold and
-    re-randomizing after half-loss when enabled. Returns [true] iff the
-    removed node was the leader (the caller charges the leader-handoff
-    message cost). No-op returning [false] if not a member. *)
-
-val random_member : rng:Random.State.t -> t -> int option
+(** Removes a member the adversary deleted, downgrading to a clique at
+    the threshold and re-randomizing after half-loss when enabled. Its
+    edges left the network with it, so {!reconcile} does not report them
+    as removed. Returns [true] iff the removed node was the leader (the
+    caller charges the leader-handoff message cost). No-op returning
+    [false] if not a member. *)
 
 val check : t -> (unit, string) result
-(** Structure/member consistency, leadership validity, H-graph rings. *)
+(** Structure/member consistency, leadership validity, H-graph rings,
+    and the edge store against a from-scratch recount. *)

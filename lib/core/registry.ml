@@ -3,6 +3,9 @@ type t = {
   node_clouds : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   bridge_duty : (int, int) Hashtbl.t; (* node -> secondary id *)
   sec_assoc : (int, (int, int) Hashtbl.t) Hashtbl.t; (* secondary -> bridge -> primary *)
+  prim_links : (int, (int, int) Hashtbl.t) Hashtbl.t;
+      (* primary -> bridge -> secondary: the inverse of [sec_assoc]
+         (a bridge has one duty, so it keys one link) *)
   mutable next_id : int;
 }
 
@@ -12,6 +15,7 @@ let create () =
     node_clouds = Hashtbl.create 64;
     bridge_duty = Hashtbl.create 16;
     sec_assoc = Hashtbl.create 16;
+    prim_links = Hashtbl.create 16;
     next_id = 0;
   }
 
@@ -88,24 +92,37 @@ let free_members t c = List.filter (is_free t) (Cloud.members c)
 
 let duty_of t node = Hashtbl.find_opt t.bridge_duty node
 
-let assoc_table t secondary =
-  match Hashtbl.find_opt t.sec_assoc secondary with
+let sub_table outer key =
+  match Hashtbl.find_opt outer key with
   | Some tbl -> tbl
   | None ->
     let tbl = Hashtbl.create 4 in
-    Hashtbl.replace t.sec_assoc secondary tbl;
+    Hashtbl.replace outer key tbl;
     tbl
+
+let add_prim_link t ~primary ~bridge ~secondary =
+  Hashtbl.replace (sub_table t.prim_links primary) bridge secondary
+
+let remove_prim_link t ~primary ~bridge =
+  match Hashtbl.find_opt t.prim_links primary with
+  | None -> ()
+  | Some tbl ->
+    Hashtbl.remove tbl bridge;
+    if Hashtbl.length tbl = 0 then Hashtbl.remove t.prim_links primary
 
 let link t ~secondary ~bridge ~primary =
   if Hashtbl.mem t.bridge_duty bridge then
     invalid_arg (Printf.sprintf "Registry.link: node %d already has bridge duty" bridge);
   Hashtbl.replace t.bridge_duty bridge secondary;
-  Hashtbl.replace (assoc_table t secondary) bridge primary
+  Hashtbl.replace (sub_table t.sec_assoc secondary) bridge primary;
+  add_prim_link t ~primary ~bridge ~secondary
 
 let unlink_bridge t ~secondary ~bridge =
   (match Hashtbl.find_opt t.sec_assoc secondary with
   | None -> ()
-  | Some tbl -> Hashtbl.remove tbl bridge);
+  | Some tbl ->
+    Option.iter (fun primary -> remove_prim_link t ~primary ~bridge) (Hashtbl.find_opt tbl bridge);
+    Hashtbl.remove tbl bridge);
   if Hashtbl.find_opt t.bridge_duty bridge = Some secondary then Hashtbl.remove t.bridge_duty bridge
 
 let bridges_of_secondary t secondary =
@@ -118,13 +135,9 @@ let unlink_all t ~secondary =
   Hashtbl.remove t.sec_assoc secondary
 
 let secondaries_of_primary t primary =
-  let acc = ref [] in
-  (* xlint: order-independent *) (* collected pairs are sorted below *)
-  Hashtbl.iter
-    (* xlint: order-independent *)
-    (fun s tbl -> Hashtbl.iter (fun b p -> if p = primary then acc := (s, b) :: !acc) tbl)
-    t.sec_assoc;
-  List.sort compare_int_pair !acc
+  match Hashtbl.find_opt t.prim_links primary with
+  | None -> []
+  | Some tbl -> List.sort compare_int_pair (Hashtbl.fold (fun b s acc -> (s, b) :: acc) tbl [])
 
 let primary_of_bridge t ~secondary ~bridge =
   match Hashtbl.find_opt t.sec_assoc secondary with
@@ -132,15 +145,18 @@ let primary_of_bridge t ~secondary ~bridge =
   | Some tbl -> Hashtbl.find_opt tbl bridge
 
 let retarget_primary t ~old_primary ~new_primary =
-  (* Every matching bridge gets the same new primary, so visit order
-     cannot matter. *)
-  (* xlint: order-independent *)
-  Hashtbl.iter
-    (fun _ tbl ->
-      (* xlint: order-independent *)
-      let moved = Hashtbl.fold (fun b p acc -> if p = old_primary then b :: acc else acc) tbl [] in
-      List.iter (fun b -> Hashtbl.replace tbl b new_primary) moved)
-    t.sec_assoc
+  match Hashtbl.find_opt t.prim_links old_primary with
+  | None -> ()
+  | Some links ->
+    Hashtbl.remove t.prim_links old_primary;
+    (* Every link gets the same new primary, so visit order cannot
+       matter. *)
+    (* xlint: order-independent *)
+    Hashtbl.iter
+      (fun bridge secondary ->
+        Hashtbl.replace (Hashtbl.find t.sec_assoc secondary) bridge new_primary;
+        add_prim_link t ~primary:new_primary ~bridge ~secondary)
+      links
 
 let remove_node t node =
   (match duty_of t node with
@@ -208,6 +224,28 @@ let check t =
         if not (Cloud.mem c b) then fail "duty of %d points at secondary %d lacking it" b s
       | _ -> fail "duty of %d points at missing/non-secondary cloud %d" b s)
     t.bridge_duty;
+  (* The primary-side index is exactly the inverse of [sec_assoc]. *)
+  let assoc_count = ref 0 and index_count = ref 0 in
+  (* xlint: order-independent *)
+  Hashtbl.iter
+    (fun s tbl ->
+      (* xlint: order-independent *)
+      Hashtbl.iter
+        (fun b p ->
+          incr assoc_count;
+          match Hashtbl.find_opt t.prim_links p with
+          | Some links when Hashtbl.find_opt links b = Some s -> ()
+          | _ -> fail "link %d of secondary %d missing from the index of primary %d" b s p)
+        tbl)
+    t.sec_assoc;
+  (* xlint: order-independent *)
+  Hashtbl.iter
+    (fun p links ->
+      if Hashtbl.length links = 0 then fail "empty index entry for primary %d" p;
+      index_count := !index_count + Hashtbl.length links)
+    t.prim_links;
+  if !assoc_count <> !index_count then
+    fail "primary index holds %d links, associations %d" !index_count !assoc_count;
   (* Association tables only reference live secondary clouds. *)
   (* xlint: order-independent *)
   Hashtbl.iter

@@ -10,7 +10,9 @@
       secondary cloud");
     - a node is *free* iff it has no bridge duty;
     - each secondary cloud's members are exactly its bridge nodes, each
-      associated with one live primary cloud. *)
+      associated with one live primary cloud;
+    - the primary → (secondary, bridge) index is exactly the inverse of
+      those associations. *)
 
 type t
 
@@ -44,8 +46,6 @@ val secondary_of : t -> int -> Cloud.t option
 
 val note_membership : t -> node:int -> cloud:int -> unit
 
-val forget_membership : t -> node:int -> cloud:int -> unit
-
 val is_free : t -> int -> bool
 (** No bridge duty. *)
 
@@ -70,7 +70,9 @@ val bridges_of_secondary : t -> int -> (int * int) list
 (** [(bridge, primary)] pairs of a secondary cloud, sorted by bridge. *)
 
 val secondaries_of_primary : t -> int -> (int * int) list
-(** [(secondary, bridge)] pairs attached to a primary cloud, sorted.
+(** [(secondary, bridge)] pairs attached to a primary cloud, sorted,
+    served from a primary → (bridge → secondary) index kept as the exact
+    inverse of the secondary-side associations: O(links of the primary).
     A primary may legitimately own several bridges into one secondary
     after a combine, so pairs are not deduplicated by secondary. *)
 
@@ -78,7 +80,8 @@ val primary_of_bridge : t -> secondary:int -> bridge:int -> int option
 
 val retarget_primary : t -> old_primary:int -> new_primary:int -> unit
 (** Redirects every secondary association of [old_primary] to
-    [new_primary] (used by combine; see DESIGN.md §2.2). *)
+    [new_primary] (used by combine; see DESIGN.md §2.2). Visits only the
+    links of [old_primary]. *)
 
 val remove_node : t -> int -> unit
 (** Clears the node's memberships and bridge duty (including association

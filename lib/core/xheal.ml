@@ -231,17 +231,17 @@ let observe_repair t ctx =
 (* ------------------------------------------------------------------ *)
 (* Cloud/network reconciliation.                                      *)
 
-(* Push a cloud's desired edge set to the network, diffing against what
-   it last pushed. *)
+let remove_cloud_edges t id edges =
+  List.iter (fun e -> Ownership.remove_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e)) edges
+
+(* Push a cloud's edge changes since its last sync to the network:
+   O(d) after a splice, the full set only after a rebuild. *)
 let sync t ctx c =
-  let desired = Cloud.desired_edges c in
-  let cur = Cloud.current c in
-  let removed = Edge.Set.diff cur desired and added = Edge.Set.diff desired cur in
+  let removed, added = Cloud.reconcile c in
   let id = Cloud.id c in
-  Edge.Set.iter (fun e -> Ownership.remove_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e)) removed;
-  Edge.Set.iter (fun e -> Ownership.add_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e)) added;
-  Cloud.set_current c desired;
-  note_edges ctx ~added:(Edge.Set.cardinal added) ~removed:(Edge.Set.cardinal removed)
+  remove_cloud_edges t id removed;
+  List.iter (fun e -> Ownership.add_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e)) added;
+  note_edges ctx ~added:(List.length added) ~removed:(List.length removed)
 
 let make_cloud ?(record_op = true) t ctx kind members =
   let id = Registry.fresh_id t.reg in
@@ -258,14 +258,13 @@ let make_cloud ?(record_op = true) t ctx kind members =
 
 (* Remove a cloud entirely: its edges lose this owner, its secondary
    links (if any) are cleared. Bridge duties of *members into other
-   secondaries* are untouched. *)
-let dissolve t ctx c =
+   secondaries* are untouched. The cloud value is dead afterwards.
+   [held] is [Cloud.current c] when the caller already has it. *)
+let dissolve ?held t ctx c =
   let id = Cloud.id c in
-  Edge.Set.iter
-    (fun e -> Ownership.remove_cloud_edge t.own ~cloud:id (Edge.src e) (Edge.dst e))
-    (Cloud.current c);
-  note_edges ctx ~added:0 ~removed:(Edge.Set.cardinal (Cloud.current c));
-  Cloud.set_current c Edge.Set.empty;
+  let held = match held with Some h -> h | None -> Cloud.current c in
+  remove_cloud_edges t id held;
+  note_edges ctx ~added:0 ~removed:(List.length held);
   if Cloud.kind c = Cloud.Secondary then Registry.unlink_all t.reg ~secondary:id;
   Registry.remove_cloud t.reg id
 
@@ -284,7 +283,6 @@ let join t ctx c u =
 
 (* The adversary removed [v]; splice it out of one cloud it belonged to. *)
 let fix_cloud_after_loss t ctx v c =
-  Cloud.purge_node_from_current c v;
   let was_leader = Cloud.remove_member ~rng:t.rng c v in
   touch ctx;
   if Cloud.size c = 0 then dissolve t ctx c
@@ -296,15 +294,15 @@ let fix_cloud_after_loss t ctx v c =
   end
 
 (* After a combine produced primary [d_id], dissolve secondary clouds
-   that now connect the combined cloud only to itself. *)
+   that now connect the combined cloud only to itself. Only secondaries
+   linked to [d_id] can qualify; they are visited in ascending id. *)
 let prune_redundant_secondaries t ctx d_id =
   List.iter
-    (fun c ->
-      if Cloud.kind c = Cloud.Secondary then begin
-        let recs = Registry.bridges_of_secondary t.reg (Cloud.id c) in
-        if recs <> [] && List.for_all (fun (_, p) -> p = d_id) recs then dissolve t ctx c
-      end)
-    (Registry.clouds t.reg)
+    (fun s ->
+      let c = Registry.find_exn t.reg s in
+      if List.for_all (fun (_, p) -> p = d_id) (Registry.bridges_of_secondary t.reg s) then
+        dissolve t ctx c)
+    (List.sort_uniq Int.compare (List.map fst (Registry.secondaries_of_primary t.reg d_id)))
 
 (* Combine a list of primary clouds (and their members) into a single
    fresh primary cloud — the paper's amortized expensive operation. *)
@@ -314,23 +312,19 @@ let combine_primaries t ctx prims =
   Log.info (fun m ->
       m "combining %d clouds (%d members total)" (List.length prims)
         (List.fold_left (fun acc c -> acc + Cloud.size c) 0 prims));
-  let snapshots =
-    List.map
-      (fun c ->
-        (Cloud.members c, List.map Edge.endpoints (Edge.Set.elements (Cloud.current c))))
-      prims
-  in
+  let held = List.map Cloud.current prims in
+  let snapshots = List.map2 (fun c h -> (Cloud.members c, List.map Edge.endpoints h)) prims held in
   record ctx (Op.Combine { clouds = snapshots });
   let members = Hashtbl.create 64 in
   List.iter (fun c -> Cloud.iter_members c (fun u -> Hashtbl.replace members u ())) prims;
   let member_list = List.sort Int.compare (Hashtbl.fold (fun u () acc -> u :: acc) members []) in
   let d = make_cloud ~record_op:false t ctx Cloud.Primary member_list in
-  List.iter
-    (fun c ->
+  List.iter2
+    (fun c held ->
       Registry.retarget_primary t.reg ~old_primary:(Cloud.id c) ~new_primary:(Cloud.id d);
       Hashtbl.replace t.fwd (Cloud.id c) (Cloud.id d);
-      dissolve t ctx c)
-    prims;
+      dissolve ~held t ctx c)
+    prims held;
   charge_combine t ctx ~snapshots ~size:(List.length member_list);
   prune_redundant_secondaries t ctx (Cloud.id d);
   d)
@@ -739,10 +733,7 @@ let delete_many ?plan ?schedule ?(trigger = Oracle) t victims =
           (fun c ->
             List.iter
               (fun v ->
-                if Cloud.mem c v then begin
-                  Cloud.purge_node_from_current c v;
-                  ignore (Cloud.remove_member ~rng:t.rng c v)
-                end)
+                if Cloud.mem c v then ignore (Cloud.remove_member ~rng:t.rng c v))
               victims;
             touch ctx;
             if Cloud.size c = 0 then dissolve t ctx c
@@ -831,7 +822,7 @@ let check t =
     | c :: rest ->
       let* () = Cloud.check c in
       let desired = Cloud.desired_edges c in
-      if not (Edge.Set.equal desired (Cloud.current c)) then
+      if not (List.equal Edge.equal (Edge.Set.elements desired) (Cloud.current c)) then
         Error (Printf.sprintf "cloud %d: unsynced edges" (Cloud.id c))
       else begin
         let missing =

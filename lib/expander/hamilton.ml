@@ -19,7 +19,8 @@ let link t u v =
   Hashtbl.replace t.pred v u
 
 let of_permutation order =
-  let t = { succ = Hashtbl.create 16; pred = Hashtbl.create 16; members = Sampler.create () } in
+  let n = List.length order in
+  let t = { succ = Hashtbl.create n; pred = Hashtbl.create n; members = Sampler.create ~capacity:n () } in
   List.iter
     (fun u -> if not (Sampler.add t.members u) then invalid_arg "Hamilton.of_permutation: duplicate node")
     order;

@@ -30,6 +30,8 @@ let insert ~rng t u =
 let delete t u =
   if Sampler.remove t.members u then Array.iter (fun c -> Hamilton.delete c u) t.cycles
 
+let iter_ring_neighbours t u f = Array.iter (fun c -> f (Hamilton.pred c u) (Hamilton.succ c u)) t.cycles
+
 let rebuild ~rng t =
   let ns = members t in
   t.cycles <- Array.init t.d (fun _ -> Hamilton.random ~rng ns)

@@ -31,6 +31,12 @@ val insert : rng:Random.State.t -> t -> int -> unit
 val delete : t -> int -> unit
 (** Law–Siu DELETE: splice the node out of every cycle. No-op if absent. *)
 
+val iter_ring_neighbours : t -> int -> (int -> int -> unit) -> unit
+(** [iter_ring_neighbours h u f] calls [f pred succ] with the node's two
+    neighbours on each of the [d] cycles, in cycle order: the O(d) edges
+    an INSERT or DELETE of [u] touches.
+    @raise Not_found if the node is not a member. *)
+
 val rebuild : rng:Random.State.t -> t -> unit
 (** Replace all cycles by fresh uniform ones over the current members
     (the paper's amortized re-randomization after heavy loss). *)

@@ -8,4 +8,4 @@ let () =
    @ Test_experiments.suite @ Test_batch.suite @ Test_exhaustive.suite @ Test_misc.suite @ Test_routing.suite @ Test_replay.suite @ Test_faults.suite @ Test_async.suite @ Test_coverage.suite
    @ Test_lint.suite @ Test_determinism.suite @ Test_obs.suite @ Test_monitor.suite
    @ Test_byzantine.suite @ Test_faulty_engine.suite @ Test_graph_diff.suite
-   @ Test_detector.suite)
+   @ Test_detector.suite @ Test_teardown.suite)

@@ -74,10 +74,15 @@ let test_leader_flag_on_removal () =
 
 let test_current_cache () =
   let c = make [ 0; 1; 2 ] in
-  Alcotest.(check bool) "starts empty" true (Edge.Set.is_empty (Cloud.current c));
-  Cloud.set_current c (Cloud.desired_edges c);
-  Cloud.purge_node_from_current c 0;
-  Alcotest.(check int) "purged incident" 1 (Edge.Set.cardinal (Cloud.current c))
+  Alcotest.(check int) "starts empty" 0 (List.length (Cloud.current c));
+  let removed, added = Cloud.reconcile c in
+  Alcotest.(check (pair int int)) "first reconcile adds the clique" (0, 3)
+    (List.length removed, List.length added);
+  ignore (Cloud.remove_member ~rng:(rng ()) c 0);
+  Alcotest.(check int) "purged incident" 1 (List.length (Cloud.current c));
+  Alcotest.(check (pair int int)) "dead edges are not reported" (0, 0)
+    (let r, a = Cloud.reconcile c in
+     (List.length r, List.length a))
 
 let test_half_rebuild_toggle () =
   (* With half_rebuild off, grinding an expander down must still keep the
@@ -108,6 +113,69 @@ let prop_cloud_random_churn =
         ops;
       Cloud.check c = Ok ())
 
+(* Delta upkeep against the from-scratch oracle. A model network holds
+   what the cloud pushed; a removed member takes its edges with it. At
+   every reconcile the reported delta must be exactly the difference
+   between the model and [desired_edges], and afterwards the cloud must
+   hold exactly [desired_edges]. Sizes range over 0..24 so runs cross
+   the clique threshold (κ+1 = 3, 5 or 7) both ways and, from a large
+   initial build, reach the half-loss rebuild. *)
+type op = Add of int | Remove of int | Reconcile
+
+let gen_op =
+  QCheck.Gen.(
+    map2
+      (fun k x -> match k with 0 | 1 -> Add x | 2 | 3 -> Remove x | _ -> Reconcile)
+      (int_bound 4) (int_bound 23))
+
+let print_op = function
+  | Add x -> Printf.sprintf "add %d" x
+  | Remove x -> Printf.sprintf "remove %d" x
+  | Reconcile -> "reconcile"
+
+let arb_delta_case =
+  QCheck.make
+    ~print:(fun (seed, d, hr, init, ops) ->
+      Printf.sprintf "seed=%d d=%d half_rebuild=%b init=%d ops=[%s]" seed d hr init
+        (String.concat "; " (List.map print_op ops)))
+    QCheck.Gen.(
+      let* seed = int_bound 10_000 in
+      let* d = int_range 1 3 in
+      let* hr = bool in
+      let* init = int_bound 24 in
+      let* ops = list_size (int_bound 60) gen_op in
+      return (seed, d, hr, init, ops))
+
+let prop_delta_matches_full =
+  QCheck.Test.make ~name:"reconcile delta equals the full diff against desired_edges" ~count:300
+    arb_delta_case (fun (seed, d, half_rebuild, init, ops) ->
+      let r = Random.State.make [| seed |] in
+      let c = Cloud.make ~rng:r ~id:3 ~kind:Cloud.Primary ~d ~half_rebuild (List.init init Fun.id) in
+      let net = ref Edge.Set.empty in
+      let reconcile () =
+        let before = !net and after = Cloud.desired_edges c in
+        if not (Edge.Set.equal before (Edge.Set.of_list (Cloud.current c))) then
+          QCheck.Test.fail_report "held edges drifted from the model network";
+        let removed, added = Cloud.reconcile c in
+        if not (List.equal Edge.equal removed (Edge.Set.elements (Edge.Set.diff before after))) then
+          QCheck.Test.fail_report "removed <> before \\ after";
+        if not (List.equal Edge.equal added (Edge.Set.elements (Edge.Set.diff after before))) then
+          QCheck.Test.fail_report "added <> after \\ before";
+        if not (List.equal Edge.equal (Cloud.current c) (Edge.Set.elements after)) then
+          QCheck.Test.fail_report "held edges <> desired_edges after reconcile";
+        net := after
+      in
+      List.iter
+        (function
+          | Add x -> if not (Cloud.mem c x) then Cloud.add_member ~rng:r c x
+          | Remove x ->
+            if Cloud.mem c x then net := Edge.Set.filter (fun e -> not (Edge.mem e x)) !net;
+            ignore (Cloud.remove_member ~rng:r c x)
+          | Reconcile -> reconcile ())
+        ops;
+      reconcile ();
+      Cloud.check c = Ok ())
+
 let suite =
   [
     ( "cloud",
@@ -123,5 +191,6 @@ let suite =
         Alcotest.test_case "half-rebuild toggle" `Quick test_half_rebuild_toggle;
         Alcotest.test_case "duplicate member rejected" `Quick test_duplicate_member_rejected;
         QCheck_alcotest.to_alcotest prop_cloud_random_churn;
+        QCheck_alcotest.to_alcotest prop_delta_matches_full;
       ] );
   ]
