@@ -13,8 +13,10 @@
      the full metrics dumps.
    - micro: Bechamel micro-benchmarks of the core operations whose
      asymptotics Theorem 5 talks about: H-graph splices, whole-deletion
-     repairs, the eigensolvers used by the metrics, and the distributed
-     protocols.
+     repairs, the eigensolvers used by the metrics, the distributed
+     protocols, and the online monitor's layers (packing an
+     insert-grown graph with dense and with sparse ids, one cadence-1
+     check).
 
    The repair scenario also runs the scaling tier: the engine at
    n = 10^4 (and 10^5 in full mode; --huge adds a 10^6-node smoke
@@ -467,9 +469,51 @@ let bench_exact_expansion () =
   Test.make ~name:"exact-expansion(n=14)"
     (Staged.stage (fun () -> ignore (Xheal_graph.Cuts.exact_expansion g)))
 
+(* A graph of G'_t's shape at the end of a batch-monitored pass: a
+   500-node random 4-regular start grown by 3943 insertions of degree 3
+   to 4443 nodes and ~12.8k edges. [id] maps the dense construction
+   ids onto the id space under test. *)
+let insert_grown ~id =
+  let rng = Random.State.make [| 13 |] in
+  let g0 = Gen.random_regular ~rng 500 4 in
+  let g = Graph.create () in
+  List.iter
+    (fun e ->
+      ignore
+        (Graph.add_edge g (id (Xheal_graph.Edge.src e)) (id (Xheal_graph.Edge.dst e))))
+    (Graph.edges g0);
+  for u = 500 to 4442 do
+    Graph.add_node g (id u);
+    for _ = 1 to 3 do
+      ignore (Graph.add_edge g (id u) (id (Random.State.int rng u)))
+    done
+  done;
+  g
+
+(* Per-layer rows for the monitor's cost: packing with dense ids takes
+   the direct-address path, ids 1000 apart the sorted one. *)
+let bench_pack name ~id =
+  let g = insert_grown ~id in
+  Test.make ~name (Staged.stage (fun () -> ignore (Graph.pack g)))
+
+let bench_monitor_check () =
+  let module Monitor = Xheal_obs.Monitor in
+  let g = insert_grown ~id:Fun.id in
+  let m =
+    Monitor.create ~config:{ Monitor.default_config with Monitor.cadence = 1; seed = 14 } g
+  in
+  let seq = ref 0 in
+  Test.make ~name:"monitor-check(n=4443,cadence=1)"
+    (Staged.stage (fun () ->
+         incr seq;
+         Monitor.on_delete m ~seq:!seq ~time:!seq ~victims:[] ~touched:[] ~healed:g))
+
 let micro_tests () =
   Test.make_grouped ~name:"xheal"
     [
+      bench_pack "graph-pack(n=4443,dense ids)" ~id:Fun.id;
+      bench_pack "graph-pack(n=4443,sparse ids)" ~id:(fun u -> 1000 * u);
+      bench_monitor_check ();
       bench_hgraph_splice ();
       bench_xheal_repair "xheal-churn-step(n=64)" 64;
       bench_xheal_repair "xheal-churn-step(n=256)" 256;

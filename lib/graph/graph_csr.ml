@@ -389,8 +389,16 @@ let packed_index p u =
   if !lo < Array.length a && a.(!lo) = u then !lo
   else invalid_arg "Graph.packed_index: node not in packed view"
 
+(* The direct-address path below allocates one int per id in the
+   observed span [lo, hi]; it is taken while that span stays within
+   this many times [n + m], i.e. while the map costs no more than a
+   small multiple of the packed view itself. *)
+let dense_span_factor = 4
+
+(* Sparse id sets (ids far apart, e.g. Byzantine phantoms at 10^6):
+   sort the ids, then binary-search each neighbour's packed index. *)
 (* xlint: hot *)
-let pack g =
+let pack_sorted g =
   let ids = Array.make g.n 0 in
   let k = ref 0 in
   for s = 0 to g.used - 1 do
@@ -416,3 +424,55 @@ let pack g =
     done
   done;
   p
+
+(* Dense id sets: [map] over the span [lo, hi] first holds id -> slot;
+   scanning it in id order yields the ascending [p_ids] and the row
+   offsets without a sort, and overwrites each entry with its packed
+   index, so every neighbour then costs one array read. *)
+(* xlint: hot *)
+let pack_direct g ~lo ~span =
+  let map = Array.make span (-1) in
+  for s = 0 to g.used - 1 do
+    if g.ids.(s) <> free_slot then map.(g.ids.(s) - lo) <- s
+  done;
+  let ids = Array.make g.n 0 and row_ptr = Array.make (g.n + 1) 0 in
+  let next = ref 0 in
+  for j = 0 to span - 1 do
+    let s = map.(j) in
+    if s >= 0 then begin
+      let i = !next in
+      ids.(i) <- lo + j;
+      row_ptr.(i + 1) <- row_ptr.(i) + g.deg.(s);
+      map.(j) <- i;
+      next := i + 1
+    end
+  done;
+  let cols = Array.make row_ptr.(g.n) 0 in
+  for s = 0 to g.used - 1 do
+    let u = g.ids.(s) in
+    if u <> free_slot then begin
+      let a = g.adj.(s) and base = row_ptr.(map.(u - lo)) in
+      for k = 0 to g.deg.(s) - 1 do
+        cols.(base + k) <- map.(a.(k) - lo)
+      done
+    end
+  done;
+  { p_ids = ids; row_ptr; cols }
+
+(* Both paths build the same record; which one runs depends only on how
+   widely the ids are spread. A span that overflows [int] (ids near
+   both ends of the range) reads as negative and goes sorted. *)
+(* xlint: hot *)
+let pack g =
+  let lo = ref max_int and hi = ref min_int in
+  for s = 0 to g.used - 1 do
+    let u = g.ids.(s) in
+    if u <> free_slot then begin
+      if u < !lo then lo := u;
+      if u > !hi then hi := u
+    end
+  done;
+  let span = !hi - !lo + 1 in
+  if g.n > 0 && span > 0 && span <= dense_span_factor * (g.n + g.m) then
+    pack_direct g ~lo:!lo ~span
+  else pack_sorted g

@@ -19,7 +19,9 @@ type packed = {
 
 val pack : t -> packed
 (** Frozen CSR snapshot with nodes re-indexed [0 .. n-1] in ascending
-    id order. *)
+    id order. Linear time when the node ids span at most a small
+    multiple of [n + m] (a direct id map); sparser id sets are sorted
+    and binary-searched instead. Both give the same record. *)
 
 val packed_index : packed -> int -> int
 (** Packed index of a node id (binary search).

@@ -2,9 +2,9 @@
    queue and distance map, rows scanned straight out of [cols] — no
    per-visit hashing or list allocation, and neighbour expansion in
    ascending (canonical) order, identical across graph backends. The
-   flat cores (bfs_core, num_components, is_connected, eccentricity,
-   diameter) are hot regions: the H-rules keep their loops
-   allocation-free. The list-returning traversals (components,
+   flat cores (bfs_core, packed_num_components, is_connected,
+   eccentricity, diameter) are hot regions: the H-rules keep their
+   loops allocation-free. The list-returning traversals (components,
    shortest_path, articulation_points, ...) build their results by
    nature and are deliberately unmarked. *)
 
@@ -101,8 +101,7 @@ let components g =
   List.rev !comps
 
 (* xlint: hot *)
-let num_components g =
-  let p = Graph.pack g in
+let packed_num_components p =
   let n = Array.length p.Graph.p_ids in
   let d = Array.make n (-1) and par = Array.make n (-1) and q = Array.make n 0 in
   let count = ref 0 in
@@ -113,6 +112,8 @@ let num_components g =
     end
   done;
   !count
+
+let num_components g = packed_num_components (Graph.pack g)
 
 (* xlint: hot *)
 let is_connected g =

@@ -28,6 +28,11 @@ val component_of : Graph.t -> int -> int list
 val components : Graph.t -> int list list
 (** All connected components, each sorted, ordered by smallest member. *)
 
+val packed_num_components : Graph.packed -> int
+(** Number of connected components of a packed view; what
+    {!num_components} runs after packing, exposed so callers that
+    already hold a pack do not build a second one. *)
+
 val num_components : Graph.t -> int
 
 val is_connected : Graph.t -> bool

@@ -17,7 +17,13 @@
    sweep estimates over the packed CSR view (upper bounds, compared
    with a generous tolerance so estimation noise never reads as a
    breach). The per-check kernels are flat array scans marked hot on
-   their binding line — the H-rules keep their loops allocation-free. *)
+   their binding line — the H-rules keep their loops allocation-free.
+
+   Each check packs the healed graph once and G'_t at most once (only
+   when a sweep or stretch pass needs it), and hands those views to
+   every guarantee — a pack costs several BFS passes over the same
+   view. Packing draws nothing from the RNG, so sharing the views
+   leaves every sample in place. *)
 
 module Graph = Xheal_graph.Graph
 module Traversal = Xheal_graph.Traversal
@@ -93,7 +99,6 @@ type t = {
   rng : Random.State.t;
   reference : Graph.t; (* insert-only shadow G'_t *)
   ref_alive : Graph.t; (* G'_t minus the deleted nodes *)
-  dead : (int, unit) Hashtbl.t;
   mutable rev_events : event list;
   mutable num_events : int;
   mutable repairs : int;
@@ -116,7 +121,6 @@ let create ?(config = default_config) g =
     rng = Random.State.make [| config.seed |];
     reference = Graph.copy g;
     ref_alive = Graph.copy g;
-    dead = Hashtbl.create 64;
     rev_events = [];
     num_events = 0;
     repairs = 0;
@@ -249,8 +253,8 @@ let check_degree t ~seq ~time ~touched ~healed =
         nodes
   end
 
-let check_connectivity t ~seq ~time ~healed =
-  let hc = Traversal.num_components healed in
+let check_connectivity t ~seq ~time ~hp =
+  let hc = Traversal.packed_num_components hp in
   let rc = Traversal.num_components t.ref_alive in
   sample t ~guarantee:Connectivity ~seq ~time (float_of_int hc);
   if hc > rc then
@@ -258,7 +262,9 @@ let check_connectivity t ~seq ~time ~healed =
       ~measured:(float_of_int hc)
       (Printf.sprintf "%d components vs %d in G' minus deletions" hc rc)
 
-let check_expansion t ~seq ~time ~healed =
+(* [hp] is the healed graph's pack, [rp] G'_t's, forced only on the
+   sweep path. *)
+let check_expansion t ~seq ~time ~healed ~hp ~rp =
   let hn = Graph.num_nodes healed and rn = Graph.num_nodes t.reference in
   if hn >= 2 then
     if hn <= t.config.exact_limit && rn <= t.config.exact_limit then begin
@@ -279,9 +285,7 @@ let check_expansion t ~seq ~time ~healed =
          source, on both the healed graph and the reference. Both sides
          are upper bounds, so the comparison keeps a wide tolerance —
          this is a tripwire for collapse, not a proof of the constant. *)
-      let hp = Graph.pack healed in
-      let rp = Graph.pack t.reference in
-      let hn' = Array.length hp.Graph.p_ids and rn' = Array.length rp.Graph.p_ids in
+      let hn' = Array.length hp.Graph.p_ids in
       let si = Random.State.int t.rng hn' in
       let src = hp.Graph.p_ids.(si) in
       let hd = Array.make hn' (-1) and hpar = Array.make hn' (-1) and hq = Array.make hn' 0 in
@@ -291,6 +295,8 @@ let check_expansion t ~seq ~time ~healed =
       sample t ~guarantee:Expansion ~seq ~time h_est;
       sample t ~guarantee:Conductance ~seq ~time phi_est;
       if Graph.has_node t.reference src then begin
+        let rp = Lazy.force rp in
+        let rn' = Array.length rp.Graph.p_ids in
         let ri = Graph.packed_index rp src in
         let rd = Array.make rn' (-1) and rpar = Array.make rn' (-1) and rq = Array.make rn' 0 in
         let rreached = Traversal.packed_bfs rp ~dist:rd ~parent:rpar ~queue:rq ri in
@@ -303,11 +309,10 @@ let check_expansion t ~seq ~time ~healed =
       end
     end
 
-let check_stretch t ~seq ~time ~healed =
-  let hp = Graph.pack healed in
+let check_stretch t ~seq ~time ~hp ~rp =
   let hn = Array.length hp.Graph.p_ids in
   if hn >= 2 && Graph.num_nodes t.reference >= 2 then begin
-    let rp = Graph.pack t.reference in
+    let rp = Lazy.force rp in
     let rn = Array.length rp.Graph.p_ids in
     let bound =
       Float.max 1.0 (t.config.stretch_factor *. (Float.log (float_of_int hn) /. Float.log 2.0))
@@ -358,29 +363,24 @@ let check_stretch t ~seq ~time ~healed =
 
 (* A few RNG-sampled survivors widen the degree check beyond the nodes
    the repair touched. *)
-let sampled_survivors t ~healed =
-  let n = Graph.num_nodes healed in
+let sampled_survivors t ~hp =
+  let n = Array.length hp.Graph.p_ids in
   if n = 0 || t.config.degree_samples = 0 then []
-  else begin
-    let p = Graph.pack healed in
+  else
     List.init (min t.config.degree_samples n) (fun _ ->
-        p.Graph.p_ids.(Random.State.int t.rng n))
-  end
+        hp.Graph.p_ids.(Random.State.int t.rng n))
 
 let on_delete t ~seq ~time ~victims ~touched ~healed =
-  List.iter
-    (fun v ->
-      if Graph.has_node t.ref_alive v then Graph.remove_node t.ref_alive v;
-      Hashtbl.replace t.dead v ())
-    victims;
+  List.iter (fun v -> if Graph.has_node t.ref_alive v then Graph.remove_node t.ref_alive v) victims;
   t.repairs <- t.repairs + 1;
   if t.repairs mod t.config.cadence = 0 then begin
     t.checks <- t.checks + 1;
-    let extra = sampled_survivors t ~healed in
+    let hp = Graph.pack healed and rp = lazy (Graph.pack t.reference) in
+    let extra = sampled_survivors t ~hp in
     check_degree t ~seq ~time ~touched:(touched @ extra) ~healed;
-    check_connectivity t ~seq ~time ~healed;
-    check_expansion t ~seq ~time ~healed;
-    check_stretch t ~seq ~time ~healed
+    check_connectivity t ~seq ~time ~hp;
+    check_expansion t ~seq ~time ~healed ~hp ~rp;
+    check_stretch t ~seq ~time ~hp ~rp
   end
 
 let note_phase t ~phase ~rounds ~messages ~converged =

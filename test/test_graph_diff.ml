@@ -197,26 +197,64 @@ let prop_cross_union =
       && G.check_invariants into_c = Ok ()
       && G.check_invariants into_h = Ok ())
 
+(* Id spaces for the pack comparison. [Graph_csr.pack] indexes dense
+   id sets directly and falls back to sorting for sparse ones, so the
+   spaces cover both: small non-negative ids, a dense run straddling
+   zero, and ids split by gaps of 10^6 (Byzantine phantoms live at
+   10^6 and up). *)
+let id_spaces = [| (fun i -> i); (fun i -> i - 5); (fun i -> if i < 4 then i else 1_000_000 * i) |]
+
+let spaced_graph ~seed backend =
+  let rng = Random.State.make [| seed; 0x1d5 |] in
+  let id = id_spaces.(seed mod Array.length id_spaces) in
+  let g = G.create ~backend () in
+  for _ = 1 to 40 do
+    let u = Random.State.int rng 10 and v = Random.State.int rng 10 in
+    if u <> v then ignore (G.add_edge g (id u) (id v))
+  done;
+  for _ = 1 to 6 do
+    G.remove_node g (id (Random.State.int rng 10))
+  done;
+  g
+
 let prop_pack =
-  QCheck.Test.make ~name:"pack is identical across façade backends" ~count:40
+  QCheck.Test.make ~name:"pack is identical across façade backends" ~count:60
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let h = facade_graph ~seed G.Hash in
+      let h = spaced_graph ~seed G.Hash in
       let c = G.with_backend G.Csr h in
       let ph = G.pack h and pc = G.pack c in
       ph.G.p_ids = pc.G.p_ids && ph.G.row_ptr = pc.G.row_ptr && ph.G.cols = pc.G.cols
-      && (Array.length ph.G.p_ids = 0
-         || List.for_all
-              (fun u ->
-                let i = G.packed_index ph u in
-                ph.G.p_ids.(i) = u
-                && ph.G.row_ptr.(i + 1) - ph.G.row_ptr.(i) = G.degree h u)
-              (G.nodes h)))
+      && List.for_all
+           (fun u ->
+             let i = G.packed_index ph u in
+             ph.G.p_ids.(i) = u && ph.G.row_ptr.(i + 1) - ph.G.row_ptr.(i) = G.degree h u)
+           (G.nodes h))
+
+let test_pack_tiny () =
+  List.iter
+    (fun backend ->
+      let empty = G.pack (G.create ~backend ()) in
+      Alcotest.(check (array int)) "empty ids" [||] empty.G.p_ids;
+      Alcotest.(check (array int)) "empty row_ptr" [| 0 |] empty.G.row_ptr;
+      Alcotest.(check (array int)) "empty cols" [||] empty.G.cols;
+      List.iter
+        (fun u ->
+          let g = G.create ~backend () in
+          G.add_node g u;
+          let p = G.pack g in
+          Alcotest.(check (array int)) "single id" [| u |] p.G.p_ids;
+          Alcotest.(check (array int)) "single row_ptr" [| 0; 0 |] p.G.row_ptr;
+          Alcotest.(check (array int)) "single cols" [||] p.G.cols;
+          Alcotest.(check int) "single index" 0 (G.packed_index p u))
+        [ 0; -7; 1_000_000 ])
+    [ G.Hash; G.Csr ]
 
 let suite =
   [
     ( "graph-diff",
       List.map
         (fun t -> QCheck_alcotest.to_alcotest t)
-        [ prop_diff; prop_derived; prop_with_backend; prop_cross_union; prop_pack ] );
+        [ prop_diff; prop_derived; prop_with_backend; prop_cross_union; prop_pack ]
+      @ [ Alcotest.test_case "pack of empty and one-node graphs" `Quick test_pack_tiny ] );
   ]

@@ -227,6 +227,46 @@ let test_sweep_path_silent () =
       (List.length expansion_samples)
   | _ -> Alcotest.fail "no monitor"
 
+(* Cross-commit pin of the sweep path at cadence 1: n = 72 sits above
+   exact_limit, and the mix of single deletions, clustered delete_many
+   batches and insertions of fresh ids grows the insert-only G' past
+   the healed graph. The digests are this exact run's event log and
+   report; any change that moves one RNG draw, one sample or one
+   formatted byte of the monitor's output fails here. *)
+let pinned_sweep_run () =
+  let rng = Random.State.make [| 59 |] in
+  let g = Gen.random_regular ~rng 72 4 in
+  let monitor = Monitor.create ~config:(mon_config ~seed:59) g in
+  let eng = Xheal.create ~monitor ~rng g in
+  let atk = Random.State.make [| 60 |] in
+  let pick () =
+    let nodes = Graph.nodes (Xheal.graph eng) in
+    List.nth nodes (Random.State.int atk (List.length nodes))
+  in
+  let fresh = ref 1000 in
+  for step = 1 to 30 do
+    match step mod 3 with
+    | 0 -> Xheal.delete eng (pick ())
+    | 1 ->
+      let v = pick () in
+      let victims = v :: List.filteri (fun i _ -> i < 2) (Graph.neighbors (Xheal.graph eng) v) in
+      Xheal.delete_many eng victims
+    | _ ->
+      let nbrs = List.sort_uniq Int.compare [ pick (); pick (); pick () ] in
+      Xheal.insert eng ~node:!fresh ~neighbors:nbrs;
+      incr fresh
+  done;
+  (eng, monitor)
+
+let test_sweep_log_pinned () =
+  let eng, m = pinned_sweep_run () in
+  (match Xheal.check eng with Ok () -> () | Error e -> Alcotest.failf "engine invariant: %s" e);
+  Alcotest.(check int) "one check per repair" 20 (Monitor.checks m);
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "event log digest" "c03f905f786174679688ec22907144f5" (digest (Monitor.to_jsonl m));
+  Alcotest.(check string) "report digest" "41a3cbdf24cf88f5dc6dbf6b41a311e5"
+    (digest (Jsonw.to_string (Monitor.report_json m)))
+
 let suite =
   [
     ( "monitor",
@@ -243,5 +283,7 @@ let suite =
         Alcotest.test_case "config validation" `Quick test_create_validation;
         Alcotest.test_case "sweep path stays silent on healthy runs" `Quick
           test_sweep_path_silent;
+        Alcotest.test_case "sweep-path event log pinned across commits" `Quick
+          test_sweep_log_pinned;
       ] );
   ]
