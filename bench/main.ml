@@ -508,6 +508,18 @@ let bench_monitor_check () =
          incr seq;
          Monitor.on_delete m ~seq:!seq ~time:!seq ~victims:[] ~touched:[] ~healed:g))
 
+(* Per-layer row for the Netsim event loop: one lossy, asynchronous
+   combine (robust BFS-echo over the union, then a robust cloud build)
+   under churn-lossy's network — 5% loss, 2% duplication, fairness 4. *)
+let bench_netsim_combine () =
+  let rng = Random.State.make [| 15 |] in
+  let union = Gen.random_h_graph ~rng 600 2 in
+  let plan = Fault_plan.make ~seed:15 ~drop:0.05 ~duplicate:0.02 () in
+  let schedule = Schedule.async ~seed:16 ~fairness:4 in
+  Test.make ~name:"netsim-combine(n=600,lossy async)"
+    (Staged.stage (fun () ->
+         ignore (Dist_repair.combine ~rng ~plan ~schedule ~d:2 ~union ~initiator:0 ())))
+
 let micro_tests () =
   Test.make_grouped ~name:"xheal"
     [
@@ -522,6 +534,7 @@ let micro_tests () =
       bench_election ();
       bench_faulty_election ();
       bench_async_repair ();
+      bench_netsim_combine ();
       bench_exact_expansion ();
       bench_batch_deletion ();
       bench_routing_tables ();

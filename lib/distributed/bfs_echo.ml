@@ -133,8 +133,13 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
       let up_acked = ref false in
       let sent_up = ref false in
       let next_retry = ref 0 in
+      (* The simulator's quiet-until hint: [!next_retry], or the next
+         step when a claim is left to settle (see the quorum block). *)
+      let quiet_until = ref 0 in
       let attempt = ref 0 in
       let nbrs = Graph.neighbors graph u in
+      (* Neighbours other than the parent, fixed when first visited. *)
+      let others = ref [] in
       let status = Hashtbl.create (max 4 (List.length nbrs)) in
       let subtree = Hashtbl.create 4 in
       (* Quorum state: pending claims per child, plus the global
@@ -161,7 +166,8 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
         let newly_visited = ref false in
         if now = 0 && u = root then begin
           visited := true;
-          newly_visited := true
+          newly_visited := true;
+          others := nbrs
         end;
         List.iter
           (fun (src, msg) ->
@@ -171,6 +177,7 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
                 visited := true;
                 parent := Some src;
                 newly_visited := true;
+                others := List.filter (fun v -> v <> src) nbrs;
                 out := (src, Msg.Accept) :: !out
               end
               else if !parent = Some src then out := (src, Msg.Accept) :: !out
@@ -249,8 +256,22 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
               end)
             claim_srcs
         end;
+        (* A claim checked above before a later claim's retry query
+           abandoned one of its ids is settleable now, and settles at
+           the node's next step, mail or not: wake it then. *)
+        let settle_pending =
+          quorum && retry_due
+          && Hashtbl.fold
+               (fun _ addrs acc ->
+                 acc
+                 || List.for_all
+                      (fun a -> Hashtbl.mem verified a || Hashtbl.mem rejected a)
+                      addrs)
+               claims false
+        in
+        quiet_until := if settle_pending then now + 1 else !next_retry;
         if !visited then begin
-          let others = List.filter (fun v -> Some v <> !parent) nbrs in
+          let others = !others in
           let unresolved = List.filter (fun v -> not (Hashtbl.mem status v)) others in
           if !newly_visited || (retry_due && unresolved <> []) then begin
             (* A retry past the initial flood means some Explore (or its
@@ -294,7 +315,15 @@ let install_robust ?obs ?(retry_every = 3) ?backoff ?tuner ?(defense = Defense.n
         end;
         !out
       in
-      Netsim.add_node net u handler)
+      (* Between retries (now < !next_retry, so [retry_due] is false)
+         a step with an empty inbox is a no-op: no state changes without
+         mail, the flood and the Subtree echo resend only when
+         [retry_due], the root records its result in the step that
+         completes it, and the quorum block re-queries only when
+         [retry_due] and settles only claims whose ids were resolved —
+         by mail or by a retry query — except the pending settle above,
+         which keeps the hint at the next step. *)
+      Netsim.add_node ~quiet_until net u handler)
     graph;
   fun () -> !result
 

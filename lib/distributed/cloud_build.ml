@@ -5,6 +5,18 @@ module Hgraph = Xheal_expander.Hgraph
 let compare_endpoints (a1, b1) (a2, b2) =
   match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
+(* Every member's incident edges, each list in edge-plan order: one pass
+   over the plan instead of a filter per lookup. *)
+let incident_lists members edges =
+  let inc = Hashtbl.create (List.length members) in
+  List.iter (fun u -> Hashtbl.replace inc u []) members;
+  List.iter
+    (fun ((a, b) as e) ->
+      Hashtbl.replace inc a (e :: Hashtbl.find inc a);
+      Hashtbl.replace inc b (e :: Hashtbl.find inc b))
+    (List.rev edges);
+  Hashtbl.find inc
+
 let plan_edges ~rng ~d members =
   let z = List.length members in
   if z <= 1 then []
@@ -61,7 +73,7 @@ let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
   in
   let mutual = defense.Defense.edge_mutual in
   let edges = plan_edges ~rng ~d members in
-  let incident u = List.filter (fun (a, b) -> a = u || b = u) edges in
+  let incident = incident_lists members edges in
   let net = Netsim.create ?obs () in
   List.iter
     (fun u ->
@@ -132,7 +144,13 @@ let run_robust ~rng ?obs ?(plan = Fault_plan.none) ?(schedule = Schedule.sync)
             pending;
         !out
       in
-      Netsim.add_node net u handler)
+      (* Between retries (now < !next_retry) a step with an empty inbox
+         is a no-op: [fresh] needs time 0 or new Edges, the leader's
+         Edges resends and the Hello retries need [retry_due], and the
+         edge_mutual check and the give_up cap only act on a received
+         Hello or inside those retries. So the retry deadline is the
+         node's quiet-until hint. *)
+      Netsim.add_node ~quiet_until:next_retry net u handler)
     members;
   let max_wait =
     match tuner with
@@ -151,7 +169,7 @@ let run ~rng ?obs ~d ~leader ~members () =
   if not (List.mem leader members) then invalid_arg "Cloud_build.run: leader must be a member";
   Proto_obs.with_span obs "cloud-build" (fun () ->
   let edges = plan_edges ~rng ~d members in
-  let incident u = List.filter (fun (a, b) -> a = u || b = u) edges in
+  let incident = incident_lists members edges in
   let net = Netsim.create ?obs () in
   List.iter
     (fun u ->

@@ -41,6 +41,24 @@ let kind = function
   | Suspect _ -> "suspect"
   | Refute _ -> "refute"
 
+let kind_count = 14
+
+let kind_index = function
+  | Challenge _ -> 0
+  | Victory _ -> 1
+  | Explore _ -> 2
+  | Accept -> 3
+  | Reject -> 4
+  | Subtree _ -> 5
+  | Edges _ -> 6
+  | Hello -> 7
+  | Ack -> 8
+  | Confirm _ -> 9
+  | Vote _ -> 10
+  | Beat -> 11
+  | Suspect _ -> 12
+  | Refute _ -> 13
+
 let pp ppf = function
   | Challenge { rank; candidate } -> Format.fprintf ppf "challenge(rank=%d, from=%d)" rank candidate
   | Victory { leader; members } -> Format.fprintf ppf "victory(%d, |m|=%d)" leader (List.length members)

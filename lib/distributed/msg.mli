@@ -43,6 +43,13 @@ val kind : t -> string
     per-message-type key used by the observability counters
     ([netsim.delivered.<kind>], ...) and {!Netsim.stats.per_type}. *)
 
+val kind_index : t -> int
+(** Dense index of the constructor, in [0, kind_count): one per
+    {!kind}, in declaration order. Keys the simulator's per-kind
+    counter cache. *)
+
+val kind_count : int
+
 val size_words : t -> int
 (** Payload size in O(log n)-bit words — the CONGEST-model cost of the
     message. The LOCAL model the paper analyzes ignores this; we track it

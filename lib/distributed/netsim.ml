@@ -4,13 +4,24 @@ module Tracer = Xheal_obs.Tracer
 
 type handler = now:int -> inbox:(int * Msg.t) list -> (int * Msg.t) list
 
-type envelope = { src : int; dst : int; msg : Msg.t }
+(* An unhinted node gets its own always-due hint. *)
+type node = { handler : handler; quiet_until : int ref }
+
+(* [slot] is the destination's position in the run's sorted id order,
+   resolved once at send time. *)
+type envelope = { src : int; dst : int; slot : int; msg : Msg.t }
+
+(* Counter actions, in the order of [action_names]; a counter's cache
+   cell is [action * Msg.kind_count + Msg.kind_index msg]. *)
+let delivered_a = 0
+let dropped_a = 1
+let duplicated_a = 2
+let delayed_a = 3
+let tampered_a = 4
+let action_names = [| "delivered"; "dropped"; "duplicated"; "delayed"; "tampered" |]
 
 type t = {
-  nodes : (int, handler) Hashtbl.t;
-  (* Initial sends, consed (newest first) — the same order the legacy
-     inflight list kept them in. *)
-  mutable initial : envelope list;
+  nodes : (int, node) Hashtbl.t;
   mutable sent : int;
   mutable words : int;
   mutable dropped : int;
@@ -23,6 +34,10 @@ type t = {
      when the caller wants trace events too. *)
   reg : Metrics.t;
   obs : Obs.Scope.t option;
+  (* Per-(action, kind) counter handles, looked up in [reg] on first
+     use only, so the registry gains exactly the counters it gained
+     when every event resolved its name. *)
+  counters : Metrics.counter option array;
 }
 
 type type_counts = {
@@ -48,8 +63,9 @@ let create ?obs () =
   let reg =
     match obs with Some sc -> sc.Obs.Scope.metrics | None -> Metrics.create ()
   in
-  { nodes = Hashtbl.create 32; initial = []; sent = 0; words = 0; dropped = 0;
-    duplicated = 0; delayed = 0; tampered = 0; reg; obs }
+  { nodes = Hashtbl.create 32; sent = 0; words = 0; dropped = 0; duplicated = 0;
+    delayed = 0; tampered = 0; reg; obs;
+    counters = Array.make (Array.length action_names * Msg.kind_count) None }
 
 (* ------------------------------------------------------------------ *)
 (* Per-message-type accounting. Counters live in the registry; the    *)
@@ -58,7 +74,15 @@ let create ?obs () =
 (* runs) never bleeds counts across runs.                             *)
 
 let count t action msg =
-  Metrics.incr (Metrics.counter t.reg ("netsim." ^ action ^ "." ^ Msg.kind msg))
+  let cell = (action * Msg.kind_count) + Msg.kind_index msg in
+  match t.counters.(cell) with
+  | Some c -> Metrics.incr c
+  | None ->
+    let c =
+      Metrics.counter t.reg ("netsim." ^ action_names.(action) ^ "." ^ Msg.kind msg)
+    in
+    t.counters.(cell) <- Some c;
+    Metrics.incr c
 
 let trace_instant t ~prefix ~now ~dst msg =
   match t.obs with
@@ -69,26 +93,26 @@ let trace_instant t ~prefix ~now ~dst msg =
 
 let note_dropped ?(now = -1) (t : t) ~dst msg =
   t.dropped <- t.dropped + 1;
-  count t "dropped" msg;
+  count t dropped_a msg;
   if now >= 0 then trace_instant t ~prefix:"drop:" ~now ~dst msg
 
 let note_delivered (t : t) ~now ~dst msg =
-  count t "delivered" msg;
+  count t delivered_a msg;
   trace_instant t ~prefix:"recv:" ~now ~dst msg
 
 let note_duplicated (t : t) ~now ~dst msg =
   t.duplicated <- t.duplicated + 1;
-  count t "duplicated" msg;
+  count t duplicated_a msg;
   if now >= 0 then trace_instant t ~prefix:"dup:" ~now ~dst msg
 
 let note_delayed (t : t) ~now ~dst msg =
   t.delayed <- t.delayed + 1;
-  count t "delayed" msg;
+  count t delayed_a msg;
   if now >= 0 then trace_instant t ~prefix:"delay:" ~now ~dst msg
 
 let note_tampered (t : t) ~now ~dst msg =
   t.tampered <- t.tampered + 1;
-  count t "tampered" msg;
+  count t tampered_a msg;
   if now >= 0 then trace_instant t ~prefix:"byz:" ~now ~dst msg
 
 let sample_inflight t ~now depth =
@@ -137,14 +161,10 @@ let per_type_since t before =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun kind counts acc -> (kind, counts) :: acc) tally [])
 
-let add_node t id handler =
+let add_node ?quiet_until t id handler =
   if Hashtbl.mem t.nodes id then invalid_arg "Netsim.add_node: duplicate id";
-  Hashtbl.replace t.nodes id handler
-
-let send_initial t ~src ~dst msg =
-  t.initial <- { src; dst; msg } :: t.initial;
-  t.sent <- t.sent + 1;
-  t.words <- t.words + Msg.size_words msg
+  let quiet_until = match quiet_until with Some r -> r | None -> ref min_int in
+  Hashtbl.replace t.nodes id { handler; quiet_until }
 
 let sorted_ids t =
   List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes [])
@@ -164,6 +184,15 @@ let sorted_ids t =
 (* leftovers), so under Schedule.sync this engine is bit-identical to *)
 (* run_reference — the conformance property in test_async.ml gates    *)
 (* precisely this.                                                    *)
+(*                                                                    *)
+(* Run state is slot-indexed: handlers, inboxes, quiet-until hints    *)
+(* and crash times live in arrays over the sorted id order, and each  *)
+(* envelope carries its destination slot. A wake-up walks the slots   *)
+(* in order and steps a node only if it has mail, [now = 0], or its   *)
+(* hint has come due; an unhinted node is stepped every time, and a   *)
+(* hint only elides steps its handler guarantees would do nothing, so *)
+(* skipping changes no outcome (run_reference, which steps everyone,  *)
+(* still matches under Schedule.sync).                                *)
 
 (* xlint: hot *)
 let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
@@ -220,44 +249,40 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
   (* Byzantine rewriting happens before the gauntlet: a lying node hands
      the network a per-recipient forgery, which is then dropped/delayed
      like any honest send. The per-link index [k] is bumped only for
-     targeted sends from scheduled liars, so plans without [byzantine]
-     entries take the fast path with zero extra state. No RNG is drawn:
+     targeted sends from scheduled liars, and plans without [byzantine]
+     entries never call [tampering] at all. No RNG is drawn:
      the rewrite is a pure hash of (seed, src, dst, k). *)
   let byz = plan.Fault_plan.byzantine <> [] in
   let byz_seq : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let tampering ~src ~dst msg =
-    if not byz then Some msg
-    else
-      match Fault_plan.behaviour_of plan src with
-      | None -> Some msg
-      | Some _ when not (Byzantine.targeted msg) -> Some msg
-      | Some _ ->
-        let k = Option.value ~default:0 (Hashtbl.find_opt byz_seq (src, dst)) in
-        Hashtbl.replace byz_seq (src, dst) (k + 1);
-        note_tampered t ~now:!now ~dst msg;
-        (match Byzantine.tamper plan ~src ~dst ~k msg with
-        | None ->
-          (* Silent-on-protocol: the swallowed send is activity exactly
-             like a gauntlet drop — the sender keeps retrying. *)
-          active := true;
-          None
-        | Some msg' ->
-          (* Words were charged for the honest payload at send time;
-             what actually enters the wire is the forgery. *)
-          t.words <- t.words + Msg.size_words msg' - Msg.size_words msg;
-          Some msg')
+    match Fault_plan.behaviour_of plan src with
+    | None -> Some msg
+    | Some _ when not (Byzantine.targeted msg) -> Some msg
+    | Some _ ->
+      let k = Option.value ~default:0 (Hashtbl.find_opt byz_seq (src, dst)) in
+      Hashtbl.replace byz_seq (src, dst) (k + 1);
+      note_tampered t ~now:!now ~dst msg;
+      (match Byzantine.tamper plan ~src ~dst ~k msg with
+      | None ->
+        (* Silent-on-protocol: the swallowed send is activity exactly
+           like a gauntlet drop — the sender keeps retrying. *)
+        active := true;
+        None
+      | Some msg' ->
+        (* Words were charged for the honest payload at send time;
+           what actually enters the wire is the forgery. *)
+        t.words <- t.words + Msg.size_words msg' - Msg.size_words msg;
+        Some msg')
   in
   (* The fault gauntlet for one send: partition, drop, duplicate,
      delay — same checks, same RNG draw order (drop → duplicate →
      per-copy delay) and same push order as the reference loop, but the
      surviving copies are enqueued directly: no per-copy extras list, no
-     per-send closure, and duplicate copies share one envelope record.
-     [base] is the virtual time the schedule delay is added to (−1 for
-     initial sends, [!now] for in-run sends). *)
-  let gauntlet_push ~base env =
+     per-send closure, and duplicate copies share one envelope record. *)
+  let gauntlet_push env =
     let dst = env.dst and msg = env.msg in
     let hot = if adapt then observe ~src:env.src ~dst msg else false in
-    if pure then push ~time:(base + sched_delay ~src:env.src ~dst) env
+    if pure then push ~time:(!now + sched_delay ~src:env.src ~dst) env
     else if Fault_plan.severed plan ~round:!now ~src:env.src ~dst then begin
       note_dropped ~now:!now t ~dst msg;
       active := true
@@ -291,23 +316,26 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
           end
           else 0
         in
-        push ~time:(base + sched_delay ~src:env.src ~dst + extra) env
+        push ~time:(!now + sched_delay ~src:env.src ~dst + extra) env
       done
     end
   in
-  (* Initial sends were enqueued before plan and schedule were known;
-     run them through the gauntlet as time −1 sends delivered at 0+. *)
-  List.iter
-    (fun e ->
-      match tampering ~src:e.src ~dst:e.dst e.msg with
-      | None -> ()
-      | Some msg ->
-        (* Startup path, once per tampered initial send — not the round
-           loop. *)
-        (* xlint: disable=H2 *)
-        gauntlet_push ~base:(-1) (if msg == e.msg then e else { e with msg }))
-    t.initial;
-  let ids = sorted_ids t in
+  let ids = Array.of_list (sorted_ids t) in
+  let n = Array.length ids in
+  let slot_of : (int, int) Hashtbl.t = Hashtbl.create (2 * n) in
+  for i = 0 to n - 1 do
+    Hashtbl.replace slot_of ids.(i) i
+  done;
+  let node i = Hashtbl.find t.nodes ids.(i) in
+  let handlers = Array.init n (fun i -> (node i).handler) in
+  let hints = Array.init n (fun i -> (node i).quiet_until) in
+  let crash_at =
+    Array.map
+      (fun id -> Option.value ~default:max_int (Fault_plan.crash_round plan id))
+      ids
+  in
+  (* Inboxes are consed newest first and reversed when stepped. *)
+  let inboxes : (int * Msg.t) list array = Array.make n [] in
   let quiesced = ref false in
   let idle = ref 0 in
   let running = ref (max_rounds > 0) in
@@ -319,10 +347,6 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
      this degenerates to the old once-per-round sample, byte-identical
      traces included. *)
   let next_sample = ref 0 in
-  (* One inbox table for the whole run, cleared per iteration: the
-     delivery loop used to allocate a fresh table every round, which
-     dominated minor-heap churn on million-event runs. *)
-  let inboxes : (int, (int * Msg.t) list) Hashtbl.t = Hashtbl.create 64 in
   (* Delivery and node stepping are hoisted out of the round loop: the
      closures capture only loop-invariant state (t, plan, trace, the
      refs), so allocating them per round was pure churn — found by H1
@@ -331,46 +355,44 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
      order is untouched: the conformance property (bit-identity with
      [run_reference] under Schedule.sync) gates these rewrites. *)
   let deliver e =
-    match Fault_plan.crash_round plan e.dst with
-    | Some c when c <= !now ->
+    if crash_at.(e.slot) <= !now then begin
       note_dropped ~now:!now t ~dst:e.dst e.msg;
       (* A delivery eaten by a crash is activity exactly like a
          gauntlet drop: the sender may be waiting on an ack that
          will never come and needs its retry window kept open. *)
       active := true
-    | _ ->
+    end
+    else begin
       (match trace with
       | Some f -> f ~now:!now ~src:e.src ~dst:e.dst e.msg
       | None -> ());
       note_delivered t ~now:!now ~dst:e.dst e.msg;
-      let prev = Option.value ~default:[] (Hashtbl.find_opt inboxes e.dst) in
-      Hashtbl.replace inboxes e.dst ((e.src, e.msg) :: prev)
+      inboxes.(e.slot) <- (e.src, e.msg) :: inboxes.(e.slot)
+    end
   in
   let rec send_all src = function
     | [] -> ()
     | (dst, msg) :: rest ->
-      (if Hashtbl.mem t.nodes dst then begin
-         t.sent <- t.sent + 1;
-         t.words <- t.words + Msg.size_words msg;
-         match tampering ~src ~dst msg with
-         | None -> ()
-         | Some msg -> gauntlet_push ~base:!now { src; dst; msg }
-       end
-       else
-         (* Addressed to an unregistered (deleted) node: traceable,
-            not silent. Not counted as a protocol send. *)
-         note_dropped ~now:!now t ~dst msg);
+      (match Hashtbl.find slot_of dst with
+      | slot -> (
+        t.sent <- t.sent + 1;
+        t.words <- t.words + Msg.size_words msg;
+        if not byz then gauntlet_push { src; dst; slot; msg }
+        else
+          match tampering ~src ~dst msg with
+          | None -> ()
+          | Some msg -> gauntlet_push { src; dst; slot; msg })
+      | exception Not_found ->
+        (* Addressed to an unregistered (deleted) node: traceable,
+           not silent. Not counted as a protocol send. *)
+        note_dropped ~now:!now t ~dst msg);
       send_all src rest
   in
-  let step_node id =
-    let alive =
-      match Fault_plan.crash_round plan id with Some c -> c > !now | None -> true
-    in
-    if alive then begin
-      let handler = Hashtbl.find t.nodes id in
-      let inbox = List.rev (Option.value ~default:[] (Hashtbl.find_opt inboxes id)) in
-      let out = handler ~now:!now ~inbox in
-      send_all id out
+  let step_slot i =
+    let inbox = inboxes.(i) in
+    if crash_at.(i) > !now && (inbox != [] || !now = 0 || !now >= !(hints.(i))) then begin
+      inboxes.(i) <- [];
+      send_all ids.(i) (handlers.(i) ~now:!now ~inbox:(List.rev inbox))
     end
   in
   while !running do
@@ -380,11 +402,11 @@ let run ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0)
       sample_inflight t ~now:!next_sample depth;
       incr next_sample
     done;
-    let due = Event_queue.pop_due q ~now:!now in
-    Hashtbl.reset inboxes;
-    List.iter deliver due;
+    List.iter deliver (Event_queue.pop_due q ~now:!now);
     (* Deterministic node order keeps runs reproducible. *)
-    List.iter step_node ids;
+    for i = 0 to n - 1 do
+      step_slot i
+    done;
     if Event_queue.is_empty q && not !active then begin
       if !idle >= grace then begin
         quiesced := true;
@@ -432,11 +454,7 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
   let pure = Fault_plan.is_none plan in
   let before = netsim_counter_snapshot t in
   let frng = Random.State.make [| plan.Fault_plan.seed; 0xfa17 |] in
-  let inflight =
-    ref
-      (List.map (fun e -> { rsrc = e.src; rdst = e.dst; rmsg = e.msg; deliver_at = 0 })
-         t.initial)
-  in
+  let inflight = ref [] in
   let round = ref 0 in
   let quiesced = ref false in
   let idle = ref 0 in
@@ -516,17 +534,6 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
           { rsrc = src; rdst = dst; rmsg = msg; deliver_at = !round + 1 + extra })
     end
   in
-  if not pure then
-    inflight :=
-      List.concat_map
-        (fun e ->
-          match tampering ~src:e.rsrc ~dst:e.rdst e.rmsg with
-          | None -> []
-          | Some msg ->
-            List.map
-              (fun e' -> { e' with deliver_at = e'.deliver_at - 1 })
-              (faulted ~src:e.rsrc ~dst:e.rdst msg))
-        !inflight;
   while (not !quiesced) && !round < max_rounds do
     active := false;
     sample_inflight t ~now:!round (List.length !inflight);
@@ -554,7 +561,7 @@ let run_reference ?(max_rounds = 10_000) ?(plan = Fault_plan.none) ?(grace = 0) 
           match Fault_plan.crash_round plan id with Some c -> c > !round | None -> true
         in
         if alive then begin
-          let handler = Hashtbl.find t.nodes id in
+          let handler = (Hashtbl.find t.nodes id).handler in
           let inbox = List.rev (Option.value ~default:[] (Hashtbl.find_opt inboxes id)) in
           let out = handler ~now:!round ~inbox in
           List.iter

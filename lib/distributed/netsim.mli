@@ -13,7 +13,9 @@
     time-to-quiescence instead of a round count.
 
     Round 0 / time 0 steps every node with an empty inbox (the
-    "neighbours are informed of the deletion" wake-up); execution stops
+    "neighbours are informed of the deletion" wake-up); later steps skip
+    nodes whose [quiet_until] hint says they have nothing to do (see
+    {!add_node}); execution stops
     at quiescence — a step at which nothing is in flight and (for
     [grace] further steps) nothing new is sent. The simulator reports
     time and total messages, the paper's two efficiency metrics, plus
@@ -54,12 +56,19 @@ val create : ?obs:Xheal_obs.Scope.t -> unit -> t
     back from that same registry, so the stats block and a metrics dump
     can never disagree. *)
 
-val add_node : t -> int -> handler -> unit
-(** @raise Invalid_argument on duplicate ids. *)
+val add_node : ?quiet_until:int ref -> t -> int -> handler -> unit
+(** @raise Invalid_argument on duplicate ids.
 
-val send_initial : t -> src:int -> dst:int -> Msg.t -> unit
-(** Seeds a message delivered at time 0 (counted). Initial messages run
-    the same fault gauntlet and schedule as in-run sends. *)
+    [quiet_until] (default: none) is a hint the node's handler keeps up
+    to date: a lower bound on the next virtual time at which a step with
+    an empty inbox could do anything — send, change state, or record an
+    event. {!run} steps a hinted node only when its inbox is non-empty,
+    at time 0, or once [now >= !quiet_until]; every other step is
+    skipped as the no-op the hint promises. An unhinted node is stepped
+    at every wake-up. {!Bfs_echo.install_robust} and
+    {!Cloud_build.run_robust} pass their retry deadline. {!run_reference} ignores the hint and steps every
+    node, so under {!Schedule.sync} the conformance of the two engines
+    checks that a hint never elides a step that would have acted. *)
 
 type type_counts = {
   delivered : int;
@@ -128,7 +137,8 @@ val run :
 
     [grace] (default 0) keeps the clock ticking for that many
     consecutive idle steps before declaring quiescence, stepping every
-    node with an empty inbox each time. Retry-based protocols need
+    node with an empty inbox each time (a hinted node only once its
+    hint is due). Retry-based protocols need
     this: a node can only resend a lost message if a step after the
     loss still happens. A step is idle only if nothing is in flight
     {e and} no send was swallowed by the fault gauntlet {e and} no

@@ -92,6 +92,82 @@ let prop_stretch_at_least_one =
       let s = Stretch.max_stretch ~healed ~reference () in
       s >= 1.0 -. 1e-9)
 
+(* The per-source distance-table computation [Stretch.report] ran
+   before it packed each graph once, kept as the oracle for the packed
+   version: two hash-table BFS runs per source, then a scan of the
+   survivors in order. *)
+let stretch_oracle ?(max_sources = 64) ?rng ~healed ~reference () =
+  let survivors = List.filter (Graph.has_node reference) (Graph.nodes healed) in
+  let sources =
+    let a = Array.of_list survivors in
+    let n = Array.length a in
+    if n <= max_sources then survivors
+    else begin
+      let rng = match rng with Some r -> r | None -> Random.State.make [| 0xbf5 |] in
+      for i = 0 to max_sources - 1 do
+        let j = i + Random.State.int rng (n - i) in
+        let tmp = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- tmp
+      done;
+      Array.to_list (Array.sub a 0 max_sources)
+    end
+  in
+  let best = ref 1.0 and pair = ref None and pairs = ref 0 in
+  List.iter
+    (fun s ->
+      let dh = Xheal_graph.Traversal.bfs_distances healed s in
+      let dr = Xheal_graph.Traversal.bfs_distances reference s in
+      List.iter
+        (fun v ->
+          if v <> s then
+            match Hashtbl.find_opt dr v with
+            | None | Some 0 -> ()
+            | Some d_ref -> (
+              incr pairs;
+              match Hashtbl.find_opt dh v with
+              | None ->
+                best := infinity;
+                pair := Some (s, v)
+              | Some d_healed ->
+                let ratio = float_of_int d_healed /. float_of_int d_ref in
+                if ratio > !best then begin
+                  best := ratio;
+                  pair := Some (s, v)
+                end))
+        survivors)
+    sources;
+  { Stretch.max_stretch = !best; worst_pair = !pair; pairs_checked = !pairs;
+    sources_used = List.length sources }
+
+(* Sparse random graphs over overlapping id ranges, so survivors,
+   nodes only in G′ (routing through the deleted), nodes only in the
+   healed graph, disconnected pairs (stretch infinity) and equal
+   ratios (ties for the worst pair) all occur. *)
+let prop_stretch_matches_oracle =
+  QCheck.Test.make ~name:"stretch report matches the distance-table oracle" ~count:200
+    QCheck.(triple (int_range 0 100_000) (int_range 2 16) (int_range 1 6))
+    (fun (seed, n, max_sources) ->
+      let rng = Random.State.make [| seed |] in
+      let random_graph ~lo ~hi p =
+        let nodes = List.init (hi - lo) (fun i -> lo + i) in
+        let edges =
+          List.concat_map
+            (fun u ->
+              List.filter_map
+                (fun v -> if u < v && Random.State.float rng 1.0 < p then Some (u, v) else None)
+                nodes)
+            nodes
+        in
+        Graph.of_edges ~nodes edges
+      in
+      let reference = random_graph ~lo:0 ~hi:(n + 3) 0.3 in
+      let healed = random_graph ~lo:2 ~hi:(n + 5) 0.25 in
+      let sampled () = Some (Random.State.make [| seed; 7 |]) in
+      Stretch.report ~healed ~reference () = stretch_oracle ~healed ~reference ()
+      && Stretch.report ~max_sources ?rng:(sampled ()) ~healed ~reference ()
+         = stretch_oracle ~max_sources ?rng:(sampled ()) ~healed ~reference ())
+
 let prop_adding_edges_never_hurts_stretch =
   QCheck.Test.make ~name:"adding healed edges never increases stretch" ~count:30
     QCheck.(int_range 0 1000)
@@ -154,6 +230,7 @@ let suite =
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "table pads short rows" `Quick test_table_pads_short_rows;
         QCheck_alcotest.to_alcotest prop_stretch_at_least_one;
+        QCheck_alcotest.to_alcotest prop_stretch_matches_oracle;
         QCheck_alcotest.to_alcotest prop_adding_edges_never_hurts_stretch;
         QCheck_alcotest.to_alcotest prop_expansion_bounds_consistent;
       ] );
